@@ -74,7 +74,9 @@ void TardisProtocol::WaitForLeaseExpiry(Cpage& page, sim::SimTime until) {
     return;
   }
   sched.AdvanceTo(until);
-  memory_->machine_->stats().lease_wait_ns += until - now;
+  sim::MachineStats& stats = memory_->machine_->stats();
+  stats.lease_wait_ns += until - now;
+  ++stats.lease_waits;
   ++page.stats().lease_waits;
 }
 

@@ -97,6 +97,8 @@ void MachineStatsJson(JsonWriter& w, const sim::MachineStats& s) {
   w.Key("block_words_copied").Value(s.block_words_copied);
   w.Key("module_wait_ns").Value(s.module_wait_ns);
   w.Key("fault_handler_wait_ns").Value(s.fault_handler_wait_ns);
+  w.Key("lease_waits").Value(s.lease_waits);
+  w.Key("lease_wait_ns").Value(s.lease_wait_ns);
   w.EndObject();
 }
 

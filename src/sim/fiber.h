@@ -8,8 +8,7 @@
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
 
-#include <ucontext.h>
-
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -18,9 +17,49 @@
 
 #include "src/sim/time.h"
 
+// Under AddressSanitizer every context switch is announced to the runtime
+// (docs/CHECKING.md), which needs the stack bounds of each context.
+#if defined(__SANITIZE_ADDRESS__)
+#define PLATINUM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PLATINUM_ASAN_FIBERS 1
+#endif
+#endif
+
 namespace platinum::sim {
 
 class Scheduler;
+
+// One unit of fiber stack, aligned as the ABI requires of a stack pointer.
+struct alignas(16) StackChunk {
+  unsigned char bytes[16];
+};
+
+// A suspended host execution context: the scheduler's dispatch loop (the host
+// thread's own stack) or a fiber.
+class ExecutionContext {
+ public:
+  // Makes this a fresh context that begins `entry` on the given stack when
+  // first resumed. `entry` must call OnEntry() first and must never return.
+  void Prepare(StackChunk* stack, size_t chunks, void (*entry)());
+  // Suspends the calling context into this one and resumes `next`. Returns
+  // when another context resumes this one.
+  void SwitchTo(ExecutionContext& next);
+  // Like SwitchTo, for a calling context that will never be resumed.
+  void ExitTo(ExecutionContext& next);
+  // Completes the switch that first resumed a fresh context.
+  static void OnEntry();
+
+ private:
+  // Where platinum_sim_switch left the suspended context's saved state.
+  void* sp_ = nullptr;
+#ifdef PLATINUM_ASAN_FIBERS
+  const void* stack_bottom_ = nullptr;
+  size_t stack_size_ = 0;
+  void* fake_stack_ = nullptr;
+#endif
+};
 
 class Fiber {
  public:
@@ -63,8 +102,10 @@ class Fiber {
   // Fibers waiting in Join() on this fiber.
   std::vector<Fiber*> joiners_;
 
-  std::unique_ptr<char[]> stack_;
-  ucontext_t context_;
+  // Released once the body has finished.
+  std::unique_ptr<StackChunk[]> stack_;
+  const size_t stack_chunks_;
+  ExecutionContext context_;
 };
 
 }  // namespace platinum::sim

@@ -57,6 +57,9 @@ SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, 
   MemoryModule& dst = (*modules_)[dst_node];
 
   SimTime start = std::max({now, src.bus_busy_until, dst.bus_busy_until});
+  SimTime wait = start - now;
+  // The wait is queueing at whichever bus held the transfer back.
+  int blocking_node = dst.bus_busy_until >= src.bus_busy_until ? dst_node : src_node;
   SimTime duration = static_cast<SimTime>(words) * params_.block_copy_word_ns;
   SimTime end = start + duration;
 
@@ -66,7 +69,8 @@ SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, 
   src.bus_busy_until = start + steal;
   dst.bus_busy_until = start + steal;
 
-  stats_->module_wait_ns += start - now;
+  stats_->module_wait_ns += wait;
+  obs_->module(blocking_node).queue_wait_ns += wait;
   ++stats_->block_transfers;
   stats_->block_words_copied += words;
   ++obs_->module(src_node).block_transfers_out;

@@ -28,7 +28,7 @@ Fiber* Scheduler::Spawn(int processor, std::string name, std::function<void()> b
                                        std::move(name), std::move(body), fiber_stack_bytes_,
                                        daemon);
   Fiber* raw = fiber.get();
-  makecontext(&raw->context_, reinterpret_cast<void (*)()>(&Scheduler::Trampoline), 0);
+  raw->context_.Prepare(raw->stack_.get(), raw->stack_chunks_, &Scheduler::Trampoline);
   // A fiber spawned by a running fiber cannot begin before its spawner's
   // current virtual time.
   raw->clock_ = (current_ != nullptr) ? current_->clock_ : global_now_;
@@ -73,8 +73,11 @@ void Scheduler::Run() {
     BumpGlobalNow(start);
     current_ = fiber;
     ++switches_;
-    PLAT_CHECK_EQ(swapcontext(&main_context_, &fiber->context_), 0);
+    main_context_.SwitchTo(fiber->context_);
     current_ = nullptr;
+    if (fiber->state_ == Fiber::State::kDone) {
+      fiber->stack_.reset();
+    }
   }
 
   active_ = previous_active;
@@ -82,6 +85,7 @@ void Scheduler::Run() {
 }
 
 void Scheduler::Trampoline() {
+  ExecutionContext::OnEntry();
   PLAT_CHECK(active_ != nullptr);
   active_->RunFiberBody();
 }
@@ -108,7 +112,7 @@ void Scheduler::FinishCurrent() {
       std::max(processor_available_[self->processor_], self->clock_);
   BumpGlobalNow(self->clock_);
   // Return to the dispatch loop for good.
-  PLAT_CHECK_EQ(swapcontext(&self->context_, &main_context_), 0);
+  self->context_.ExitTo(main_context_);
 }
 
 SimTime Scheduler::now() const {
@@ -218,7 +222,7 @@ void Scheduler::SwitchOut(SimTime release_processor_at) {
   // Record only time actually executed: a sleeping fiber's clock already
   // points at its future wake-up and must not drag global_now forward.
   BumpGlobalNow(release_processor_at);
-  PLAT_CHECK_EQ(swapcontext(&self->context_, &main_context_), 0);
+  self->context_.SwitchTo(main_context_);
 }
 
 void Scheduler::BumpGlobalNow(SimTime t) {

@@ -141,7 +141,7 @@ class Scheduler {
   std::vector<SimTime> pending_interrupt_cost_;
 
   Fiber* current_ = nullptr;
-  ucontext_t main_context_;
+  ExecutionContext main_context_;
   SimTime global_now_ = 0;
   TimeObserver* time_observer_ = nullptr;
   int live_non_daemon_ = 0;

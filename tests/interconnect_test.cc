@@ -89,5 +89,31 @@ TEST_F(InterconnectTest, BackToBackBlockTransfersSerialize) {
   EXPECT_GT(second, first);
 }
 
+TEST_F(InterconnectTest, QueuedBlockTransferChargesTheBlockingModule) {
+  // Module 1's bus is busy with a reference when a transfer into it starts;
+  // the transfer's wait is queueing at module 1, the destination.
+  net_->Reference(2, 1, AccessKind::kRead, 0);
+  SimTime queued = stats_.module_wait_ns;
+  SimTime done = net_->BlockTransfer(0, 1, 1024, 0);
+  SimTime dst_wait = params_.module_occupancy_remote_ns;
+  EXPECT_EQ(done, dst_wait + 1024 * params_.block_copy_word_ns);
+  EXPECT_EQ(stats_.module_wait_ns, queued + dst_wait);
+  EXPECT_EQ(obs_.module(1).queue_wait_ns, queued + dst_wait);
+  EXPECT_EQ(obs_.module(0).queue_wait_ns, SimTime{0});
+
+  // A second transfer out of module 1 waits behind the first one's bus steal
+  // there; it is charged to module 1 as the source.
+  SimTime steal = (done - dst_wait) * params_.block_bus_steal_permille / 1000;
+  net_->BlockTransfer(1, 3, 1024, 0);
+  EXPECT_EQ(obs_.module(1).queue_wait_ns, queued + dst_wait + dst_wait + steal);
+  EXPECT_EQ(obs_.module(3).queue_wait_ns, SimTime{0});
+
+  SimTime per_module = 0;
+  for (int node = 0; node < 4; ++node) {
+    per_module += obs_.module(node).queue_wait_ns;
+  }
+  EXPECT_EQ(per_module, stats_.module_wait_ns);
+}
+
 }  // namespace
 }  // namespace platinum::sim

@@ -17,6 +17,7 @@
 #include "src/apps/mergesort.h"
 #include "src/apps/neural.h"
 #include "src/kernel/kernel.h"
+#include "src/mem/cpage.h"
 #include "src/sim/machine.h"
 #include "tests/test_util.h"
 
@@ -104,6 +105,24 @@ TEST(ProtocolDifferentialTest, TardisRunsAreReproducible) {
   }
   EXPECT_EQ(times[0], times[1]);
   EXPECT_EQ(checksums[0], checksums[1]);
+}
+
+// Every lease-expiry wait is counted both on its page and machine-wide.
+TEST(ProtocolDifferentialTest, TardisLeaseWaitsAreCountedMachineWide) {
+  apps::SortConfig config;
+  config.count = 1 << 12;
+  config.processors = 8;
+  test::TestSystem sys(sim::ButterflyPlusParams(8), WithProtocol("tardis"));
+  ASSERT_TRUE(RunMergeSortPlatinum(sys.kernel, config).verified);
+  const mem::CpageTable& cpages = sys.kernel.memory().cpages();
+  uint64_t page_waits = 0;
+  for (uint32_t id = 0; id < cpages.size(); ++id) {
+    page_waits += cpages.at(id).stats().lease_waits;
+  }
+  const sim::MachineStats& stats = sys.machine.stats();
+  EXPECT_GT(stats.lease_waits, 0u);
+  EXPECT_EQ(page_waits, stats.lease_waits);
+  EXPECT_GT(stats.lease_wait_ns, sim::SimTime{0});
 }
 
 }  // namespace
