@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
 
@@ -19,9 +20,23 @@ class Atc {
   explicit Atc(uint32_t num_entries);
 
   // Returns the cached translation for (as_id, vpn), or nullptr on miss.
-  const PmapEntry* Lookup(uint32_t as_id, uint32_t vpn) const;
+  [[gnu::always_inline]] const PmapEntry* Lookup(uint32_t as_id, uint32_t vpn) const {
+    const Slot& slot = slots_[IndexOf(vpn)];
+    if (slot.valid && slot.as_id == as_id && slot.vpn == vpn) {
+      return &slot.entry;
+    }
+    return nullptr;
+  }
   // Installs a translation, evicting whatever shared its slot.
-  void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry);
+  [[gnu::always_inline]] void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry) {
+    PLAT_CHECK(entry.valid);
+    Slot& slot = slots_[IndexOf(vpn)];
+    slot.valid = true;
+    slot.as_id = as_id;
+    slot.vpn = vpn;
+    slot.entry = entry;
+    ++fills_;
+  }
   // Drops the translation for one page, if cached.
   void FlushPage(uint32_t as_id, uint32_t vpn);
   // Drops every translation for one address space.

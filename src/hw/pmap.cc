@@ -6,11 +6,6 @@ namespace platinum::hw {
 
 Pmap::Pmap(uint32_t num_pages) : entries_(num_pages) {}
 
-const PmapEntry& Pmap::entry(uint32_t vpn) const {
-  PLAT_CHECK_LT(vpn, entries_.size());
-  return entries_[vpn];
-}
-
 void Pmap::Enter(uint32_t vpn, int16_t module, uint32_t frame, Rights rights) {
   PLAT_CHECK_LT(vpn, entries_.size());
   PLAT_CHECK(rights != Rights::kNone);

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "src/base/check.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
 #include "src/mem/cpage.h"
@@ -58,6 +59,13 @@ class Cmap {
   // The processor's private Pmap for this space, created on first use.
   hw::Pmap& pmap(int processor);
   bool has_pmap(int processor) const { return pmaps_[processor] != nullptr; }
+  // The processor's Pmap, or nullptr before its first use; never allocates.
+  // The MMU's inline Pmap walk reads through this.
+  [[gnu::always_inline]] const hw::Pmap* FindPmap(int processor) const {
+    PLAT_CHECK_GE(processor, 0);
+    PLAT_CHECK_LT(processor, sim::kMaxProcessors);
+    return pmaps_[processor].get();
+  }
 
   // Activation census: a processor is "active" in the space while it runs (or
   // can immediately run) one of its threads; only active processors need an

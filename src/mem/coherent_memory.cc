@@ -41,16 +41,6 @@ uint32_t CoherentMemory::RegisterAddressSpace(uint32_t num_pages) {
   return as_id;
 }
 
-Cmap& CoherentMemory::cmap(uint32_t as_id) {
-  PLAT_CHECK_LT(as_id, cmaps_.size());
-  return *cmaps_[as_id];
-}
-
-const Cmap& CoherentMemory::cmap(uint32_t as_id) const {
-  PLAT_CHECK_LT(as_id, cmaps_.size());
-  return *cmaps_[as_id];
-}
-
 uint32_t CoherentMemory::CreateCpage(int home_module) { return cpages_.Create(home_module); }
 
 void CoherentMemory::BindPage(uint32_t as_id, uint32_t vpn, uint32_t cpage, hw::Rights rights) {
@@ -146,27 +136,13 @@ CoherentMemory::AccessResult CoherentMemory::AccessSlow(uint32_t as_id, uint32_t
                                                         sim::AccessKind kind,
                                                         uint32_t write_value, bool allow_yield,
                                                         hw::Rights needed, int processor) {
-  // Every trip through the trap is an ATC miss: either the slot held another
-  // page (or nothing), or its cached rights were too weak to be used.
-  ++machine_->stats().atc_misses;
-
-  Cmap& cm = cmap(as_id);
-  hw::Pmap& pmap = cm.pmap(processor);
+  // Translate has counted the ATC miss and found no usable Pmap entry. The
+  // processor's Pmap is created here on its first trap in this space.
+  hw::Pmap& pmap = cmap(as_id).pmap(processor);
   hw::Atc& atc = mmus_[processor].atc();
-  {
-    // The MMU walks the processor's private Pmap; a usable entry is loaded
-    // into the ATC, anything else traps into the coherent page fault handler.
-    const hw::PmapEntry& pe = pmap.entry(vpn);
-    if (pe.valid && Allows(pe.rights, needed)) {
-      machine_->Compute(machine_->params().atc_fill_ns);
-      atc.Fill(as_id, vpn, pe);
-      return FinishAccess(as_id, vpn, word_offset, kind, write_value, allow_yield, pe,
-                          processor);
-    }
-    AccessOutcome outcome = HandleFault(as_id, vpn, kind);
-    if (outcome != AccessOutcome::kOk) {
-      return AccessResult{outcome, 0};
-    }
+  AccessOutcome outcome = HandleFault(as_id, vpn, kind);
+  if (outcome != AccessOutcome::kOk) {
+    return AccessResult{outcome, 0};
   }
 
   // One post-fault Pmap read (the handler may have replaced the entry, so the
@@ -219,11 +195,10 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
   uint32_t done = 0;
   while (done < count) {
     int processor = sched.current_processor();
-    hw::Atc& atc = mmus_[processor].atc();
-    const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
-    if (translation == nullptr || !Allows(translation->rights, needed)) [[unlikely]] {
-      // Rare: push exactly one word through the scalar trap path, then resume
-      // the block loop with a fresh translation.
+    const hw::PmapEntry* translation = Translate(as_id, vpn, needed, processor);
+    if (translation == nullptr) [[unlikely]] {
+      // Rare: push exactly one word through the fault trap, then resume the
+      // block loop with a fresh translation.
       AccessResult r =
           AccessSlow(as_id, vpn, word_offset, kind, write_in != nullptr ? write_in[done] : 0,
                      allow_yield, needed, processor);
@@ -240,22 +215,22 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
       }
       continue;
     }
-    // Fast run: consume words of this page while the cached translation is
-    // known valid. Translations only change at switch points, so the run ends
-    // (and the translation is re-probed) whenever MaybeYield switches — and
+    // Fast run: consume words of this page while the translation is known
+    // valid. Translations only change at switch points, so the run ends (and
+    // the next word is translated afresh) whenever MaybeYield switches — and
     // MigrateCurrent can even move the fiber to another processor meanwhile.
-    // Each iteration performs the exact per-word sequence of Access's fast
-    // path, so stats, trace and virtual time match a word-by-word loop.
-    const uint32_t module = translation->module;
+    // Translate has accounted the run's first word (an ATC hit, or a miss
+    // refilled from the Pmap); every later word is an ATC hit. Each word
+    // performs the exact per-word sequence of Access, so stats, trace and
+    // virtual time match a word-by-word loop.
+    const int16_t module = translation->module;
     const uint32_t frame = translation->frame;
     const uint32_t run_end = std::min(count, done + (wpp - word_offset));
-    bool switched = false;
-    while (done < run_end && !switched) {
-      ++machine_->stats().atc_hits;
+    for (;;) {
       if (access_observer_ != nullptr) [[unlikely]] {
         NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
       }
-      machine_->Reference(module, kind);
+      machine_->ReferenceFrom(processor, module, kind);
       if (kind == sim::AccessKind::kRead) {
         read_out[done] = machine_->ReadWordRaw(module, frame, word_offset);
       } else {
@@ -263,9 +238,10 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
       }
       ++done;
       ++word_offset;
-      if (allow_yield) {
-        switched = sched.MaybeYield();
+      if ((allow_yield && sched.MaybeYield()) || done == run_end) {
+        break;
       }
+      ++machine_->stats().atc_hits;
     }
     if (word_offset == wpp) {
       word_offset = 0;
@@ -323,9 +299,9 @@ void CoherentMemory::CheckInvariants() const {
       for (int p = 0; p < machine_->num_nodes(); ++p) {
         bool referenced = (entry.reference_mask >> p) & 1;
         bool has_translation = false;
-        if (cm->has_pmap(p)) {
-          const hw::Pmap& pmap = const_cast<Cmap&>(*cm).pmap(p);
-          const hw::PmapEntry& pe = pmap.entry(vpn);
+        const hw::Pmap* pmap = cm->FindPmap(p);
+        if (pmap != nullptr) {
+          const hw::PmapEntry& pe = pmap->entry(vpn);
           has_translation = pe.valid;
           if (pe.valid) {
             PLAT_CHECK(page.HasCopyOn(pe.module))
@@ -355,7 +331,7 @@ void CoherentMemory::CheckInvariants() const {
         if (cached != nullptr) {
           PLAT_CHECK(has_translation) << "stale ATC entry for AS " << cm->as_id() << " vpn "
                                       << vpn << " cpu " << p;
-          const hw::PmapEntry& pe = const_cast<Cmap&>(*cm).pmap(p).entry(vpn);
+          const hw::PmapEntry& pe = pmap->entry(vpn);
           PLAT_CHECK_EQ(cached->module, pe.module);
           PLAT_CHECK_EQ(cached->frame, pe.frame);
           PLAT_CHECK(Allows(pe.rights, cached->rights)) << "ATC rights exceed Pmap rights";

@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
 #include "src/hw/processor.h"
@@ -70,8 +71,14 @@ class CoherentMemory {
   // --- Setup -----------------------------------------------------------------
   // Registers an address space of `num_pages` virtual pages; returns its id.
   uint32_t RegisterAddressSpace(uint32_t num_pages);
-  Cmap& cmap(uint32_t as_id);
-  const Cmap& cmap(uint32_t as_id) const;
+  [[gnu::always_inline]] Cmap& cmap(uint32_t as_id) {
+    PLAT_CHECK_LT(as_id, cmaps_.size());
+    return *cmaps_[as_id];
+  }
+  const Cmap& cmap(uint32_t as_id) const {
+    PLAT_CHECK_LT(as_id, cmaps_.size());
+    return *cmaps_[as_id];
+  }
 
   // Creates a coherent page whose kernel structures live on `home_module`
   // (round-robin when negative).
@@ -97,22 +104,22 @@ class CoherentMemory {
   // scheduler preempt after the access; read-modify-write sequences pass
   // false for all but the last access.
   //
-  // The common case — ATC hit with sufficient rights — is fully inline: one
-  // ATC probe, hit accounting, the reference itself (docs/PERFORMANCE.md).
-  // Everything else (ATC fill from the Pmap, coherent page fault) traps into
-  // the out-of-line AccessSlow, mirroring the paper's cheap-hardware-path /
-  // software-trap split.
+  // What the MC68851 does in hardware is inline here (docs/PERFORMANCE.md):
+  // the ATC probe, and on an ATC miss the walk of the processor's private
+  // Pmap and the ATC fill, then the reference itself. Only a Pmap miss — no
+  // entry, or one whose rights are too weak — traps into the out-of-line
+  // AccessSlow and the coherent page fault handler, mirroring the paper's
+  // hardware-path / software-trap split.
   AccessResult Access(uint32_t as_id, uint32_t vpn, uint32_t word_offset, sim::AccessKind kind,
                       uint32_t write_value = 0, bool allow_yield = true) PLATINUM_MAY_YIELD {
-    int processor = machine_->scheduler().current_processor();
-    hw::Rights needed =
+    const int processor = machine_->scheduler().current_processor();
+    const hw::Rights needed =
         kind == sim::AccessKind::kWrite ? hw::Rights::kReadWrite : hw::Rights::kRead;
-    const hw::PmapEntry* translation = mmus_[processor].atc().Lookup(as_id, vpn);
-    if (translation == nullptr || !Allows(translation->rights, needed)) [[unlikely]] {
+    const hw::PmapEntry* translation = Translate(as_id, vpn, needed, processor);
+    if (translation == nullptr) [[unlikely]] {
       return AccessSlow(as_id, vpn, word_offset, kind, write_value, allow_yield, needed,
                         processor);
     }
-    ++machine_->stats().atc_hits;
     return FinishAccess(as_id, vpn, word_offset, kind, write_value, allow_yield, *translation,
                         processor);
   }
@@ -274,11 +281,40 @@ class CoherentMemory {
   void Unfreeze(Cpage& page);
 
   // ---- coherent_memory.cc ----
-  // The trap taken when the inline fast path cannot complete an access: ATC
-  // miss, or a cached translation with insufficient rights. Counts the ATC
-  // miss, refills from the processor's private Pmap when it has a usable
-  // entry, and otherwise runs the coherent page fault handler. `needed` and
-  // `processor` are forwarded from the fast path so neither is derived twice.
+  // The MMU's translation step, shared by Access and AccessRange. Probes
+  // `processor`'s ATC; on a miss (no slot, or rights too weak) counts it and
+  // walks the processor's Pmap without allocating one, and on a usable entry
+  // charges atc_fill_ns and loads it into the ATC. Returns the translation
+  // to use, or nullptr when the access must trap to AccessSlow (the miss is
+  // already counted). Forced inline, like the ATC/Pmap/Cmap accessors it
+  // calls: their PLAT_CHECK message builders otherwise make GCC keep them
+  // out of line, which puts calls back on every refill.
+  [[gnu::always_inline]] const hw::PmapEntry* Translate(uint32_t as_id, uint32_t vpn,
+                                                        hw::Rights needed,
+                                                        int processor) PLATINUM_NO_YIELD {
+    hw::Atc& atc = mmus_[processor].atc();
+    const hw::PmapEntry* cached = atc.Lookup(as_id, vpn);
+    if (cached != nullptr && Allows(cached->rights, needed)) {
+      ++machine_->stats().atc_hits;
+      return cached;
+    }
+    ++machine_->stats().atc_misses;
+    const hw::Pmap* pmap = cmap(as_id).FindPmap(processor);
+    if (pmap == nullptr) [[unlikely]] {
+      return nullptr;
+    }
+    const hw::PmapEntry& pe = pmap->entry(vpn);
+    if (!pe.valid || !Allows(pe.rights, needed)) {
+      return nullptr;
+    }
+    machine_->Compute(machine_->params().atc_fill_ns);
+    atc.Fill(as_id, vpn, pe);
+    return &pe;
+  }
+  // The trap taken when Translate finds no usable Pmap entry: runs the
+  // coherent page fault handler, makes sure the ATC holds the resolved
+  // translation, and finishes the access. `needed` and `processor` are
+  // forwarded from the caller so neither is derived twice.
   AccessResult AccessSlow(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
                           sim::AccessKind kind, uint32_t write_value, bool allow_yield,
                           hw::Rights needed, int processor) PLATINUM_MAY_YIELD;
@@ -292,7 +328,7 @@ class CoherentMemory {
     if (access_observer_ != nullptr) [[unlikely]] {
       NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
     }
-    machine_->Reference(translation.module, kind);
+    machine_->ReferenceFrom(processor, translation.module, kind);
     AccessResult result;
     if (kind == sim::AccessKind::kRead) {
       result.value = machine_->ReadWordRaw(translation.module, translation.frame, word_offset);

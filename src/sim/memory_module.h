@@ -10,9 +10,11 @@
 #define SRC_SIM_MEMORY_MODULE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
 #include "src/sim/params.h"
@@ -54,8 +56,24 @@ class MemoryModule {
   uint32_t FrameOwner(uint32_t frame) const;
 
   // Raw backing storage of a frame (page_size bytes).
-  uint8_t* FrameData(uint32_t frame);
-  const uint8_t* FrameData(uint32_t frame) const;
+  uint8_t* FrameData(uint32_t frame) {
+    PLAT_CHECK_LT(frame, num_frames_);
+    return data_.data() + static_cast<size_t>(frame) * page_size_;
+  }
+  const uint8_t* FrameData(uint32_t frame) const {
+    PLAT_CHECK_LT(frame, num_frames_);
+    return data_.data() + static_cast<size_t>(frame) * page_size_;
+  }
+  // The 32-bit word at `word_offset` of `frame`: the untimed data plumbing
+  // behind sim::Machine::ReadWordRaw/WriteWordRaw.
+  uint32_t LoadWord(uint32_t frame, uint32_t word_offset) const {
+    uint32_t value;
+    std::memcpy(&value, FrameData(frame) + word_offset * 4, 4);
+    return value;
+  }
+  void StoreWord(uint32_t frame, uint32_t word_offset, uint32_t value) {
+    std::memcpy(FrameData(frame) + word_offset * 4, &value, 4);
+  }
 
   // Bus occupancy bookkeeping: the virtual time until which this module's bus
   // is busy. Maintained by the Interconnect.

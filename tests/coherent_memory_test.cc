@@ -442,8 +442,8 @@ TEST_F(CoherentMemoryTest, AtcHitAndMissCountsCoverEveryReference) {
   EXPECT_GT(stats.faults, 0u);
   EXPECT_GT(stats.atc_hits, 0u);
   // Every reference resolves as either an ATC hit or an ATC miss; an access
-  // that traps into the fault handler is a miss too (the accounting bug fixed
-  // in AccessSlow).
+  // that traps into the fault handler is a miss too (Translate counts it
+  // before the trap).
   EXPECT_EQ(stats.atc_hits + stats.atc_misses, stats.total_references());
 }
 
@@ -574,6 +574,158 @@ TEST(CoherentMemoryRange, BlockAccessMatchesWordByWordExactly) {
     EXPECT_EQ(words.trace[i].detail, range.trace[i].detail) << "event " << i;
     EXPECT_EQ(words.trace[i].thread, range.trace[i].thread) << "event " << i;
   }
+}
+
+// The MMU path of one processor, access by access, with exact clocks: an ATC
+// hit costs one local reference; an ATC conflict miss refilled from the
+// private Pmap adds exactly atc_fill_ns and never faults; a read-only
+// translation that is written and a processor with no Pmap yet both trap to
+// the fault handler.
+TEST(CoherentMemoryAccessPath, HitRefillAndTrapsChargeExactly) {
+  kernel::KernelOptions options;
+  options.start_defrost_daemon = false;  // nothing else runs on the machine
+  TestSystem sys(4, std::move(options));
+  const sim::MachineParams& params = sys.machine.params();
+  auto* space = sys.kernel.CreateAddressSpace("path");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  const uint32_t entries = params.atc_entries;
+  const uint32_t wpp = params.words_per_page();
+  // Pages A and B share an ATC slot (entries pages apart); C is its own page.
+  auto conflict =
+      rt::SharedArray<uint32_t>::Create(zone, "conflict", static_cast<size_t>(entries + 1) * wpp);
+  auto other = rt::SharedArray<uint32_t>::Create(zone, "other", wpp);
+  const size_t word_a = 0;
+  const size_t word_b = static_cast<size_t>(entries) * wpp;
+  const uint32_t as_id = space->id();
+  const sim::MachineStats& stats = sys.machine.stats();
+  sim::Scheduler& sched = sys.machine.scheduler();
+
+  sys.kernel.SpawnThread(space, 0, "cpu0", [&] {
+    conflict.Set(word_a, 11);  // fault: page A filled on node 0
+    conflict.Set(word_b, 22);  // fault: page B evicts A from the shared slot
+    conflict.Get(word_b);      // settle: B's module bus is idle from here on
+
+    // 1. ATC hit: one local read, nothing else.
+    sim::MachineStats before = stats;
+    SimTime t0 = sched.now();
+    EXPECT_EQ(conflict.Get(word_b), 22u);
+    EXPECT_EQ(sched.now() - t0, params.local_read_ns);
+    EXPECT_EQ(stats.atc_hits, before.atc_hits + 1);
+    EXPECT_EQ(stats.atc_misses, before.atc_misses);
+    EXPECT_EQ(stats.faults, before.faults);
+
+    // 2. Conflict miss refilled inline from the Pmap: fill + local read.
+    before = stats;
+    t0 = sched.now();
+    EXPECT_EQ(conflict.Get(word_a), 11u);
+    EXPECT_EQ(sched.now() - t0, params.atc_fill_ns + params.local_read_ns);
+    EXPECT_EQ(stats.atc_hits, before.atc_hits);
+    EXPECT_EQ(stats.atc_misses, before.atc_misses + 1);
+    EXPECT_EQ(stats.faults, before.faults);
+    EXPECT_EQ(stats.local_reads, before.local_reads + 1);
+
+    // 3. A read-only translation written: the ATC and the Pmap both hold
+    // read rights only, so the write traps to a write fault.
+    EXPECT_EQ(other.Get(0), 0u);  // read fault: present1, read-only mapping
+    before = stats;
+    other.Set(0, 33);
+    EXPECT_EQ(stats.atc_hits, before.atc_hits);
+    EXPECT_EQ(stats.atc_misses, before.atc_misses + 1);
+    EXPECT_EQ(stats.faults, before.faults + 1);
+    EXPECT_EQ(stats.write_faults, before.write_faults + 1);
+    EXPECT_EQ(other.Get(0), 33u);
+  });
+  sys.kernel.Run();
+
+  // 4. A fiber on a processor that has never touched the space: no Pmap
+  // yet, so even a page valid elsewhere traps; the trap creates the Pmap,
+  // and later traps reuse it.
+  const mem::Cmap& cm = sys.kernel.memory().cmap(as_id);
+  EXPECT_EQ(cm.FindPmap(1), nullptr);
+  const hw::Pmap* created = nullptr;
+  sys.kernel.SpawnThread(space, 1, "cpu1", [&] {
+    sim::MachineStats before = stats;
+    EXPECT_EQ(conflict.Get(word_b), 22u);
+    EXPECT_EQ(stats.atc_misses, before.atc_misses + 1);
+    EXPECT_EQ(stats.faults, before.faults + 1);
+    created = cm.FindPmap(1);
+    ASSERT_NE(created, nullptr);
+    EXPECT_EQ(created->valid_count(), 1u);
+    before = stats;
+    EXPECT_EQ(conflict.Get(word_a), 11u);  // another trap, same Pmap
+    EXPECT_EQ(stats.faults, before.faults + 1);
+    EXPECT_EQ(cm.FindPmap(1), created);
+    EXPECT_EQ(created->valid_count(), 2u);
+  });
+  sys.kernel.Run();
+  sys.kernel.memory().CheckInvariants();
+  EXPECT_EQ(stats.atc_hits + stats.atc_misses, stats.total_references());
+}
+
+// A block read over pages that share one ATC slot: every page change is a
+// conflict miss refilled from the Pmap inside ReadRange. Stats and clock
+// must equal the word-by-word loop's.
+struct ConflictRangeResult {
+  std::vector<uint32_t> values;
+  sim::MachineStats delta;
+  SimTime elapsed = 0;
+};
+
+ConflictRangeResult RunConflictRange(bool use_range) {
+  sim::MachineParams params = sim::ButterflyPlusParams(2);
+  params.atc_entries = 1;  // every page conflicts with every other
+  kernel::KernelOptions options;
+  options.start_defrost_daemon = false;
+  TestSystem sys(params, std::move(options));
+  auto* space = sys.kernel.CreateAddressSpace("conflict-range");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  const uint32_t wpp = params.words_per_page();
+  auto arr = rt::SharedArray<uint32_t>::Create(zone, "data", static_cast<size_t>(2) * wpp);
+  const size_t first = wpp / 2;  // half of page 0, half of page 1
+  const size_t count = wpp;
+
+  ConflictRangeResult result;
+  result.values.resize(count);
+  sys.kernel.SpawnThread(space, 0, "reader", [&] {
+    // Fault both pages in (RW on node 0); page 1 now owns the only ATC slot.
+    arr.Set(0, 1);
+    arr.Set(wpp, 2);
+    for (size_t i = 0; i < count; ++i) {
+      arr.Set(first + i, static_cast<uint32_t>(5 * i + 1));
+    }
+    arr.Set(0, 3);  // page 0 back in the slot; the read starts with a hit
+    sim::MachineStats before = sys.machine.stats();
+    SimTime t0 = sys.kernel.Now();
+    if (use_range) {
+      arr.GetRange(first, count, result.values.data());
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        result.values[i] = arr.Get(first + i);
+      }
+    }
+    result.elapsed = sys.kernel.Now() - t0;
+    result.delta = sys.machine.stats() - before;
+  });
+  sys.kernel.Run();
+  sys.kernel.memory().CheckInvariants();
+  return result;
+}
+
+TEST(CoherentMemoryRange, ConflictingPagesRefillLikeWordByWord) {
+  ConflictRangeResult words = RunConflictRange(/*use_range=*/false);
+  ConflictRangeResult range = RunConflictRange(/*use_range=*/true);
+  EXPECT_EQ(words.values, range.values);
+  EXPECT_EQ(range.values[0], 1u);
+  EXPECT_EQ(words.elapsed, range.elapsed);
+  EXPECT_EQ(words.delta.atc_hits, range.delta.atc_hits);
+  EXPECT_EQ(words.delta.atc_misses, range.delta.atc_misses);
+  EXPECT_EQ(words.delta.faults, range.delta.faults);
+  EXPECT_EQ(words.delta.local_reads, range.delta.local_reads);
+  EXPECT_EQ(words.delta.total_references(), range.delta.total_references());
+  // The crossing into page 1 is the one refill, and nothing faults.
+  EXPECT_EQ(range.delta.atc_misses, 1u);
+  EXPECT_EQ(range.delta.faults, 0u);
+  EXPECT_EQ(range.delta.atc_hits + range.delta.atc_misses, range.delta.total_references());
 }
 
 }  // namespace
