@@ -1,9 +1,10 @@
-// Shared helpers for the benchmark binaries.
+// Shared helpers for the experiment binaries.
 //
-// Every bench binary regenerates one table or figure of the paper: it runs
-// the experiment on the simulated machine, prints the series the paper
-// reports (virtual-time measurements), and registers the runs with
-// google-benchmark so the harness also emits machine-readable output.
+// Every bench binary is a plain program that regenerates one table or figure
+// of the paper: it runs the experiment on the simulated machine and prints
+// the series the paper reports (virtual-time measurements). Machine-readable
+// output is the PLATINUM_JSON_DIR tables (MaybeWriteJson) and the
+// PLATINUM_BENCH_METRICS line (RunMetrics) that tools/bench_report.py parses.
 // Workload sizes default to values that run in seconds; set PLATINUM_FULL=1
 // for paper-scale inputs.
 //

@@ -5,10 +5,8 @@
 // System implementation 10.6x, and the SMP message-passing implementation
 // 15.3x. This bench regenerates all three curves on the simulated machine.
 //
-// Default matrix size is 256 (seconds of host time); PLATINUM_FULL=1 runs
+// Default matrix size is 400 (seconds of host time); PLATINUM_FULL=1 runs
 // the paper's 800x800, and PLATINUM_GAUSS_N overrides explicitly.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/gauss.h"
 #include "src/kernel/kernel.h"
@@ -48,32 +46,9 @@ sim::SimTime RunSmp(int processors) {
   return RunGaussMessagePassing(kernel, ConfigFor(processors)).elimination_ns;
 }
 
-void BM_GaussPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunPlatinum(static_cast<int>(state.range(0))));
-  }
-}
-void BM_GaussUniformSystem(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunUniform(static_cast<int>(state.range(0))));
-  }
-}
-void BM_GaussMessagePassing(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunSmp(static_cast<int>(state.range(0))));
-  }
-}
-
-BENCHMARK(BM_GaussPlatinum)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GaussUniformSystem)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GaussMessagePassing)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   bench::SpeedupTable table(
       "Figure 1: Gaussian elimination (n=" + std::to_string(MatrixSize()) + ")",
       {"PLATINUM", "UniformSys", "SMP-msg"});

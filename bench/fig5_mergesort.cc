@@ -8,8 +8,6 @@
 // the merging processor's local memory and each coherent page fault
 // prefetches a page of the linear scan, while the Sequent re-fetches
 // everything over the shared bus.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/mergesort.h"
 #include "src/kernel/kernel.h"
@@ -45,26 +43,9 @@ sim::SimTime RunSequent(int processors) {
   return RunMergeSortUma(machine, ConfigFor(processors)).sort_ns;
 }
 
-void BM_MergeSortPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunPlatinum(static_cast<int>(state.range(0))));
-  }
-}
-void BM_MergeSortSequent(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunSequent(static_cast<int>(state.range(0))));
-  }
-}
-
-BENCHMARK(BM_MergeSortPlatinum)->Arg(1)->Arg(16)->Iterations(1);
-BENCHMARK(BM_MergeSortSequent)->Arg(1)->Arg(16)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   bench::SpeedupTable table(
       "Figure 5: merge sort (" + std::to_string(ElementCount()) + " elements)",
       {"PLATINUM", "Sequent-UMA"});

@@ -6,8 +6,6 @@
 // quickly gives up and freezes the shared data pages, so the curve is
 // roughly linear but each additional processor contributes only a fraction
 // of an all-local processor (the paper says about one half).
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/neural.h"
 #include "src/kernel/kernel.h"
@@ -38,22 +36,9 @@ RunOutput Run(int processors) {
   return RunOutput{result.train_ns, report.pages_ever_frozen};
 }
 
-void BM_NeuralPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    RunOutput out = Run(static_cast<int>(state.range(0)));
-    state.counters["sim_s"] = sim::ToSeconds(out.time);
-    state.counters["pages_frozen"] = out.pages_frozen;
-  }
-}
-
-BENCHMARK(BM_NeuralPlatinum)->Arg(1)->Arg(16)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Figure 6: recurrent backpropagation simulator ===\n");
   std::printf("%5s %12s %8s %14s %13s\n", "procs", "train (s)", "speedup", "incr. speedup",
               "pages frozen");

@@ -12,8 +12,6 @@
 // section workload of Section 4.1 on machines with different page sizes,
 // under an always-migrate policy and a never-migrate (remote-access) policy,
 // and reports which wins.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -83,7 +81,7 @@ SimTime RunWorkload(uint32_t page_bytes, double rho, int consecutive, bool migra
     page.Set(static_cast<uint32_t>(salt) % s_words, static_cast<uint32_t>(salt));
     for (uint32_t i = 1; i < r; ++i) {
       uint32_t index = (i * 2654435761u + static_cast<uint32_t>(salt)) % s_words;
-      benchmark::DoNotOptimize(page.Get(index));
+      page.Get(index);  // a charged simulated read; the value is unused
     }
   };
 
@@ -140,7 +138,7 @@ SimTime RunWorkloadRpc(uint32_t page_bytes, double rho, int consecutive, int rou
       auto r = static_cast<uint32_t>(rho * static_cast<double>(s_words));
       page.Set(salt % s_words, salt);
       for (uint32_t i = 1; i < r; ++i) {
-        benchmark::DoNotOptimize(page.Get((i * 2654435761u + salt) % s_words));
+        page.Get((i * 2654435761u + salt) % s_words);
       }
       std::vector<uint32_t> reply{1};
       kernel.Send(reply_port, reply);
@@ -180,15 +178,6 @@ SimTime RunWorkloadRpc(uint32_t page_bytes, double rho, int consecutive, int rou
   return elapsed;
 }
 
-void BM_Workload(benchmark::State& state) {
-  bool migrate = state.range(0) != 0;
-  for (auto _ : state) {
-    state.counters["sim_ms"] =
-        sim::ToMilliseconds(RunWorkload(4096, /*rho=*/1.0, /*consecutive=*/2, migrate));
-  }
-}
-BENCHMARK(BM_Workload)->Arg(0)->Arg(1)->Iterations(1);
-
 struct PaperCell {
   double rho;
   const char* g_half;
@@ -214,10 +203,7 @@ void PrintCell(double smin) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   sim::MachineParams params = sim::ButterflyPlusParams(4);
   std::printf("\n=== Table 1: minimum page size S_min (words) for migration to pay ===\n");
   std::printf("(ours = from the simulator's constants; paper values in parentheses)\n");

@@ -1,10 +1,13 @@
 // Tests for the bench harness helpers: EnvInt validation, SpeedupTable
-// degenerate-baseline handling, and SweepRunner's worker-count invariance.
+// degenerate-baseline handling, SweepRunner's worker-count invariance, and
+// the RunMetrics line that tools/bench_report.py parses.
 #include "bench/bench_util.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <regex>
+#include <string>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -98,6 +101,67 @@ TEST(SweepRunnerTest, WorkerCountDefaultsAndClamps) {
   unsetenv("PLATINUM_BENCH_WORKERS");
   EXPECT_GE(bench::SweepRunner().workers(), 1);
   EXPECT_EQ(bench::SweepRunner(7).workers(), 7);
+}
+
+// A sweep point that reports its machine to RunMetrics, as the bench
+// binaries do. Sleeping a quarter second per index makes the simulated
+// seconds visible at the metrics line's millisecond precision.
+struct PointTotals {
+  uint64_t references = 0;
+  uint64_t sim_ns = 0;
+};
+
+PointTotals CountedPoint(int i) {
+  test::TestSystem sys(2);
+  auto* space = sys.kernel.CreateAddressSpace("pt");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  auto arr = rt::SharedArray<uint32_t>::Create(zone, "a", 64);
+  sys.kernel.SpawnThread(space, i % 2, "t", [&] {
+    for (size_t k = 0; k < 16; ++k) {
+      arr.Set(k, static_cast<uint32_t>(i) + static_cast<uint32_t>(k));
+    }
+    sys.machine.scheduler().Sleep((i + 1) * 250 * sim::kMillisecond);
+  });
+  sys.kernel.Run();
+  bench::RunMetrics::Count(sys.machine);
+  return {sys.machine.stats().total_references(),
+          static_cast<uint64_t>(sys.machine.scheduler().global_now())};
+}
+
+TEST(RunMetricsTest, PrintsSummedTotalsInTheReportFormat) {
+  // RunMetrics is process-wide; no other test in this binary counts into it.
+  std::vector<PointTotals> points = bench::SweepRunner(4).Map(6, CountedPoint);
+  uint64_t references = 0;
+  uint64_t sim_ns = 0;
+  for (const PointTotals& point : points) {
+    references += point.references;
+    sim_ns += point.sim_ns;
+  }
+  ASSERT_GT(references, 0u);
+
+  testing::internal::CaptureStdout();
+  bench::RunMetrics::Print();
+  std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_FALSE(out.empty());
+  ASSERT_EQ(out.back(), '\n');
+  std::string line = out.substr(0, out.size() - 1);
+
+  // The shape tools/bench_report.py's METRICS_RE accepts, on one line.
+  std::smatch report;
+  ASSERT_TRUE(std::regex_match(line, report, std::regex(R"(PLATINUM_BENCH_METRICS (\{.*\}))")))
+      << line;
+  std::string json = report[1].str();
+  EXPECT_TRUE(obs::CheckJsonBalanced(json));
+
+  std::smatch fields;
+  ASSERT_TRUE(std::regex_match(
+      json, fields,
+      std::regex(R"(\{"machines": (\d+), "references": (\d+), "sim_seconds": (\d+\.\d{3})\})")))
+      << json;
+  EXPECT_EQ(std::stoull(fields[1].str()), points.size());
+  EXPECT_EQ(std::stoull(fields[2].str()), references);
+  EXPECT_NEAR(std::stod(fields[3].str()), static_cast<double>(sim_ns) / 1e9, 0.0005);
+  EXPECT_GT(std::stod(fields[3].str()), 5.0);  // the sleeps alone sum to 5.25 s
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ METRICS_RE = re.compile(r"^PLATINUM_BENCH_METRICS (\{.*\})$", re.MULTILINE)
 def run_bench(binary, json_dir, env):
     start = time.monotonic()
     proc = subprocess.run(
-        [binary, "--benchmark_filter=NONE"],
+        [binary],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

@@ -23,9 +23,9 @@ for binary in "$@"; do
   mkdir -p "${workdir}/${name}/serial" "${workdir}/${name}/parallel"
 
   PLATINUM_BENCH_WORKERS=1 PLATINUM_JSON_DIR="${workdir}/${name}/serial" \
-    "${binary}" --benchmark_filter=NONE > "${workdir}/${name}/serial.out"
+    "${binary}" > "${workdir}/${name}/serial.out"
   PLATINUM_BENCH_WORKERS=4 PLATINUM_JSON_DIR="${workdir}/${name}/parallel" \
-    "${binary}" --benchmark_filter=NONE > "${workdir}/${name}/parallel.out"
+    "${binary}" > "${workdir}/${name}/parallel.out"
 
   # Table/series JSON paths appear in stdout and differ by directory; compare
   # everything else byte for byte.
