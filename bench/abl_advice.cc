@@ -32,7 +32,9 @@ SimTime NeuralRun(bool advised) {
   config.processors = 16;
   config.epochs = 5;
   config.advise_write_shared = advised;
-  return RunNeuralPlatinum(kernel, config).train_ns;
+  SimTime train_ns = RunNeuralPlatinum(kernel, config).train_ns;
+  bench::RunMetrics::Count(machine);
+  return train_ns;
 }
 
 // Hot-spot counters: everyone read-modify-writes one page. Pinning it up
@@ -57,6 +59,7 @@ SimTime HotSpotRun(bool pinned) {
       kernel.machine().scheduler().Sleep(20 * sim::kMicrosecond);
     }
   });
+  bench::RunMetrics::Count(machine);
   return kernel.machine().scheduler().global_now() - start;
 }
 
@@ -107,6 +110,7 @@ SimTime ProducerConsumerRun(bool prefetch) {
       consumer_phase = kernel.Now() - t0;
     }
   });
+  bench::RunMetrics::Count(machine);
   return consumer_phase;
 }
 
@@ -136,5 +140,6 @@ int main() {
       "such hooks are anticipated to be used primarily by programming "
       "languages and their run-time support, not by application programmers "
       "(Section 9).");
+  bench::RunMetrics::Print();
   return 0;
 }

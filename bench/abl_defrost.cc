@@ -35,7 +35,9 @@ SimTime Run(bool colocate, bool defrost, SimTime t2 = 0) {
   config.processors = 16;
   config.colocate_size_and_flag = colocate;
   config.verify = false;
-  return RunGaussPlatinum(kernel, config).elimination_ns;
+  SimTime elimination_ns = RunGaussPlatinum(kernel, config).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return elimination_ns;
 }
 
 }  // namespace
@@ -65,5 +67,6 @@ int main() {
       "to the well-behaved version. Reducing t2 helps accidentally frozen "
       "pages thaw sooner at the cost of overhead for pages that should stay "
       "frozen.");
+  bench::RunMetrics::Print();
   return 0;
 }

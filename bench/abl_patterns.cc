@@ -46,7 +46,9 @@ apps::PatternResult RunOne(apps::AccessPattern pattern, int policy, sim::SimTime
   config.processors = 8;
   config.rounds = 40;
   config.think_ns = think;
-  return RunPattern(kernel, config);
+  apps::PatternResult result = RunPattern(kernel, config);
+  bench::RunMetrics::Count(machine);
+  return result;
 }
 
 }  // namespace
@@ -81,5 +83,6 @@ int main() {
       "the timestamp policy should be within reach of the better of the two "
       "extreme policies on every pattern: caching where data motion pays, "
       "remote access where interleaved writes would thrash the protocol.");
+  bench::RunMetrics::Print();
   return 0;
 }

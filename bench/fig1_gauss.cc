@@ -32,18 +32,26 @@ apps::GaussConfig ConfigFor(int processors) {
 sim::SimTime RunPlatinum(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunGaussPlatinum(kernel, ConfigFor(processors)).elimination_ns;
+  sim::SimTime elimination_ns = RunGaussPlatinum(kernel, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return elimination_ns;
 }
 
 sim::SimTime RunUniform(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
-  return RunGaussUniformSystem(machine, ConfigFor(processors)).elimination_ns;
+  sim::SimTime elimination_ns =
+      RunGaussUniformSystem(machine, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return elimination_ns;
 }
 
 sim::SimTime RunSmp(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunGaussMessagePassing(kernel, ConfigFor(processors)).elimination_ns;
+  sim::SimTime elimination_ns =
+      RunGaussMessagePassing(kernel, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return elimination_ns;
 }
 
 }  // namespace
@@ -61,5 +69,6 @@ int main() {
       "16-processor speedups on the Butterfly Plus (800x800): PLATINUM 13.5, "
       "Uniform System 10.6, SMP message passing 15.3. Expected shape: "
       "SMP > PLATINUM > Uniform System, all near-linear at low processor counts.");
+  bench::RunMetrics::Print();
   return 0;
 }

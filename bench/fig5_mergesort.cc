@@ -33,9 +33,12 @@ apps::SortConfig ConfigFor(int processors) {
 sim::SimTime RunPlatinum(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunMergeSortPlatinum(kernel, ConfigFor(processors)).sort_ns;
+  sim::SimTime sort_ns = RunMergeSortPlatinum(kernel, ConfigFor(processors)).sort_ns;
+  bench::RunMetrics::Count(machine);
+  return sort_ns;
 }
 
+// The UMA model is not a sim::Machine, so RunMetrics does not count it.
 sim::SimTime RunSequent(int processors) {
   uma::UmaParams params;
   params.num_processors = 16;
@@ -58,5 +61,6 @@ int main() {
       "the program shows better speedup on the Butterfly Plus under PLATINUM "
       "than on the Sequent Symmetry for the same problem size and processor "
       "count (tree merge sort has modest maximum speedup by construction).");
+  bench::RunMetrics::Print();
   return 0;
 }

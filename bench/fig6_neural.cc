@@ -33,6 +33,7 @@ RunOutput Run(int processors) {
   kernel::Kernel kernel(&machine);
   apps::NeuralResult result = RunNeuralPlatinum(kernel, ConfigFor(processors));
   kernel::MemoryReport report = BuildMemoryReport(kernel);
+  bench::RunMetrics::Count(machine);
   return RunOutput{result.train_ns, report.pages_ever_frozen};
 }
 
@@ -61,5 +62,6 @@ int main() {
       "remote accesses limits the contribution of each incremental processor "
       "to about 1/2 that of a processor making only local references; the "
       "application's shared data pages are frozen in place.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -49,6 +49,7 @@ SimTime Measure(const std::function<SimTime(kernel::Kernel&, vm::AddressSpace*,
   SimTime result = 0;
   kernel.SpawnThread(space, 0, "driver", [&] { result = scenario(kernel, space, zone); });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return result;
 }
 
@@ -109,6 +110,7 @@ SimTime ReadMissModified() {
     duration = kernel.Now() - t0;
   });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return duration;
 }
 
@@ -137,6 +139,7 @@ SimTime WriteMissPresentPlus(int replicas) {
     });
   }
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return duration;
 }
 
@@ -171,5 +174,6 @@ int main() {
       "incremental delay per additional interrupted processor is no more than "
       "17 us (about 7 us interrupt + 10 us page free); Mach's shootdown costs "
       "55 us per processor on a 16-processor Encore Multimax.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -108,6 +108,7 @@ SimTime RunWorkload(uint32_t page_bytes, double rho, int consecutive, bool migra
     }
   });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return elapsed;
 }
 
@@ -175,6 +176,7 @@ SimTime RunWorkloadRpc(uint32_t page_bytes, double rho, int consecutive, int rou
   kernel.SpawnThread(space, 0, "A", [&] { client(port_a, port_b, true); });
   kernel.SpawnThread(space, 1, "B", [&] { client(port_b, port_a, false); });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return elapsed;
 }
 
@@ -251,5 +253,6 @@ int main() {
       "call, as Emerald would): its cost is a constant per operation, so it "
       "wins over migration for very large pages and loses to everything for "
       "small, dense ones.");
+  bench::RunMetrics::Print();
   return 0;
 }

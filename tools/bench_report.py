@@ -3,9 +3,9 @@
 
 Every bench binary prints a PLATINUM_BENCH_METRICS line (bench/bench_util.h:
 RunMetrics) summing simulated references and simulated seconds across all the
-machines it built; this script adds host wall-clock per binary and derives
-accesses/sec — the host-throughput figure the fast path (docs/PERFORMANCE.md)
-is meant to move. Tables written via PLATINUM_JSON_DIR are embedded so the
+sim::Machines it built, and the script fails on a bench that prints none. It
+adds host wall-clock per binary and derives accesses/sec — the host-throughput
+figure the fast path (docs/PERFORMANCE.md) is meant to move. Tables written via PLATINUM_JSON_DIR are embedded so the
 simulated-time series travel with the baseline.
 
 Usage:
@@ -69,13 +69,15 @@ def run_bench(binary, json_dir, env):
         sys.stderr.write(proc.stdout)
         raise SystemExit(f"{binary} exited with {proc.returncode}")
 
-    entry = {"host_seconds": round(host_seconds, 3)}
     matches = METRICS_RE.findall(proc.stdout)
-    if matches:
-        metrics = json.loads(matches[-1])
-        entry.update(metrics)
-        if host_seconds > 0:
-            entry["accesses_per_sec"] = round(metrics["references"] / host_seconds)
+    if not matches:
+        sys.stderr.write(proc.stdout)
+        raise SystemExit(f"{binary} printed no PLATINUM_BENCH_METRICS line")
+    metrics = json.loads(matches[-1])
+    entry = {"host_seconds": round(host_seconds, 3)}
+    entry.update(metrics)
+    if host_seconds > 0:
+        entry["accesses_per_sec"] = round(metrics["references"] / host_seconds)
     tables = {}
     for name in sorted(os.listdir(json_dir)):
         if not name.endswith(".json"):
@@ -129,8 +131,8 @@ def main():
             entry = run_bench(binary, json_dir, env)
             report["benches"][name] = entry
             total_host += entry["host_seconds"]
-            total_refs += entry.get("references", 0)
-            total_sim += entry.get("sim_seconds", 0.0)
+            total_refs += entry["references"]
+            total_sim += entry["sim_seconds"]
 
     report["totals"] = {
         "host_seconds": round(total_host, 3),
