@@ -4,7 +4,8 @@
 // fiber with its own stack and its own virtual clock. Fibers never run
 // concurrently: the scheduler resumes exactly one at a time, always the
 // runnable fiber with the smallest virtual clock, so simulated executions are
-// deterministic and data structures need no host-level locking.
+// deterministic and data structures need no host-level locking. A fiber that
+// stops switches directly to the next one (src/sim/scheduler.h).
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
 
@@ -36,8 +37,8 @@ struct alignas(16) StackChunk {
   unsigned char bytes[16];
 };
 
-// A suspended host execution context: the scheduler's dispatch loop (the host
-// thread's own stack) or a fiber.
+// A suspended host execution context: the host thread's own stack, suspended
+// in Scheduler::Run() while fibers run, or a fiber.
 class ExecutionContext {
  public:
   // Makes this a fresh context that begins `entry` on the given stack when

@@ -42,46 +42,103 @@ Fiber* Scheduler::Spawn(int processor, std::string name, std::function<void()> b
 
 void Scheduler::MakeReady(Fiber* fiber) {
   fiber->state_ = Fiber::State::kReady;
-  ready_.push(ReadyEntry{fiber->clock_, next_seq_++, fiber});
+  PushReady(ReadyEntry{fiber->clock_, next_seq_++, fiber});
+}
+
+void Scheduler::PushReady(ReadyEntry entry) {
+  size_t hole = ready_.size();
+  ready_.push_back(entry);
+  while (hole > 0) {
+    size_t parent = (hole - 1) / 2;
+    if (!(entry < ready_[parent])) {
+      break;
+    }
+    ready_[hole] = ready_[parent];
+    hole = parent;
+  }
+  ready_[hole] = entry;
+}
+
+Fiber* Scheduler::PopReady() {
+  PLAT_CHECK(!ready_.empty()) << "deadlock: " << live_non_daemon_
+                              << " non-daemon fibers alive but none runnable";
+  Fiber* first = ready_.front().fiber;
+  ReadyEntry last = ready_.back();
+  ready_.pop_back();
+  if (!ready_.empty()) {
+    ReplaceFirstReady(last);
+  }
+  return first;
+}
+
+void Scheduler::ReplaceFirstReady(ReadyEntry entry) {
+  const size_t size = ready_.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && ready_[child + 1] < ready_[child]) {
+      ++child;
+    }
+    if (!(ready_[child] < entry)) {
+      break;
+    }
+    ready_[hole] = ready_[child];
+    hole = child;
+  }
+  ready_[hole] = entry;
 }
 
 void Scheduler::Run() {
   PLAT_CHECK(!running_) << "Run() is not reentrant";
   PLAT_CHECK(current_ == nullptr);
+  if (live_non_daemon_ == 0) {
+    return;
+  }
   running_ = true;
   Scheduler* previous_active = active_;
   active_ = this;
 
-  while (live_non_daemon_ > 0) {
-    PLAT_CHECK(!ready_.empty()) << "deadlock: " << live_non_daemon_
-                                << " non-daemon fibers alive but none runnable";
-    ReadyEntry entry = ready_.top();
-    ready_.pop();
-    Fiber* fiber = entry.fiber;
-    PLAT_CHECK(fiber->state_ == Fiber::State::kReady);
-
-    // Serialize fibers sharing a processor, and deliver any pending interrupt
-    // handling cost to whoever occupies the node next.
-    int processor = fiber->processor_;
-    SimTime start = std::max(fiber->clock_, processor_available_[processor]);
-    start += pending_interrupt_cost_[processor];
-    pending_interrupt_cost_[processor] = 0;
-
-    fiber->clock_ = start;
-    fiber->resumed_at_ = start;
-    fiber->state_ = Fiber::State::kRunning;
-    BumpGlobalNow(start);
-    current_ = fiber;
-    ++switches_;
-    main_context_.SwitchTo(fiber->context_);
-    current_ = nullptr;
-    if (fiber->state_ == Fiber::State::kDone) {
-      fiber->stack_.reset();
-    }
-  }
+  // The fibers hand off among themselves; the last non-daemon fiber to finish
+  // switches back here.
+  Fiber* first = PopReady();
+  Dispatch(first);
+  main_context_.SwitchTo(first->context_);
+  ReapFinished();
+  current_ = nullptr;
 
   active_ = previous_active;
   running_ = false;
+}
+
+void Scheduler::Dispatch(Fiber* next) {
+  PLAT_CHECK(next->state_ == Fiber::State::kReady);
+  // Serialize fibers sharing a processor, and deliver any pending interrupt
+  // handling cost to whoever occupies the node next.
+  int processor = next->processor_;
+  SimTime start = std::max(next->clock_, processor_available_[processor]);
+  start += pending_interrupt_cost_[processor];
+  pending_interrupt_cost_[processor] = 0;
+
+  next->clock_ = start;
+  next->resumed_at_ = start;
+  next->state_ = Fiber::State::kRunning;
+  BumpGlobalNow(start);
+  current_ = next;
+  ++switches_;
+}
+
+void Scheduler::SwitchTo(Fiber* self, Fiber* next) {
+  Dispatch(next);
+  if (next != self) {
+    self->context_.SwitchTo(next->context_);
+    ReapFinished();
+  }
+}
+
+void Scheduler::ReapFinished() {
+  if (finished_ != nullptr) [[unlikely]] {
+    finished_->stack_.reset();
+    finished_ = nullptr;
+  }
 }
 
 void Scheduler::Trampoline() {
@@ -91,6 +148,7 @@ void Scheduler::Trampoline() {
 }
 
 void Scheduler::RunFiberBody() {
+  ReapFinished();
   Fiber* self = current_;
   PLAT_CHECK(self != nullptr);
   self->body_();
@@ -108,11 +166,16 @@ void Scheduler::FinishCurrent() {
     Wake(joiner, self->clock_);
   }
   self->joiners_.clear();
-  processor_available_[self->processor_] =
-      std::max(processor_available_[self->processor_], self->clock_);
-  BumpGlobalNow(self->clock_);
-  // Return to the dispatch loop for good.
-  self->context_.ExitTo(main_context_);
+  ReleaseProcessor(self->clock_);
+  // Leave for good; whoever runs next frees this stack.
+  finished_ = self;
+  if (live_non_daemon_ == 0) {
+    self->context_.ExitTo(main_context_);
+  } else {
+    Fiber* next = PopReady();
+    Dispatch(next);
+    self->context_.ExitTo(next->context_);
+  }
 }
 
 void Scheduler::AdvanceTo(SimTime t) {
@@ -123,10 +186,8 @@ void Scheduler::AdvanceTo(SimTime t) {
 }
 
 void Scheduler::Yield() {
-  Fiber* self = current_;
-  PLAT_CHECK(self != nullptr);
-  MakeReady(self);
-  SwitchOut(/*release_processor_at=*/self->clock_);
+  PLAT_CHECK(current_ != nullptr);
+  Requeue(/*release_processor_at=*/current_->clock_);
 }
 
 void Scheduler::Sleep(SimTime duration) {
@@ -135,15 +196,30 @@ void Scheduler::Sleep(SimTime duration) {
   // The processor is free while this fiber sleeps.
   SimTime release = self->clock_;
   self->clock_ += duration;
-  MakeReady(self);
-  SwitchOut(release);
+  Requeue(release);
+}
+
+void Scheduler::Requeue(SimTime release_processor_at) {
+  Fiber* self = current_;
+  self->state_ = Fiber::State::kReady;
+  ReadyEntry entry{self->clock_, next_seq_++, self};
+  ReleaseProcessor(release_processor_at);
+  // Requeue and pick in one step: the fiber keeps running if it is still the
+  // first, else it takes the first fiber's place in the heap.
+  Fiber* next = self;
+  if (!ready_.empty() && ready_.front() < entry) {
+    next = ready_.front().fiber;
+    ReplaceFirstReady(entry);
+  }
+  SwitchTo(self, next);
 }
 
 void Scheduler::Block() {
   Fiber* self = current_;
   PLAT_CHECK(self != nullptr);
   self->state_ = Fiber::State::kBlocked;
-  SwitchOut(/*release_processor_at=*/self->clock_);
+  ReleaseProcessor(self->clock_);
+  SwitchTo(self, PopReady());
   PLAT_CHECK(self->state_ == Fiber::State::kRunning);
 }
 
@@ -188,14 +264,12 @@ void Scheduler::AddInterruptCost(int processor, SimTime cost) {
   pending_interrupt_cost_[processor] += cost;
 }
 
-void Scheduler::SwitchOut(SimTime release_processor_at) {
-  Fiber* self = current_;
-  processor_available_[self->processor_] =
-      std::max(processor_available_[self->processor_], release_processor_at);
+void Scheduler::ReleaseProcessor(SimTime at) {
+  SimTime& available = processor_available_[current_->processor_];
+  available = std::max(available, at);
   // Record only time actually executed: a sleeping fiber's clock already
   // points at its future wake-up and must not drag global_now forward.
-  BumpGlobalNow(release_processor_at);
-  self->context_.SwitchTo(main_context_);
+  BumpGlobalNow(at);
 }
 
 void Scheduler::BumpGlobalNow(SimTime t) {
