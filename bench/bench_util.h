@@ -136,10 +136,10 @@ class RunMetrics {
   static void Print() {
     std::printf(
         "PLATINUM_BENCH_METRICS {\"machines\": %llu, \"references\": %llu, "
-        "\"sim_seconds\": %.3f}\n",
+        "\"sim_ns\": %llu}\n",
         static_cast<unsigned long long>(machines_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(references_.load(std::memory_order_relaxed)),
-        static_cast<double>(sim_ns_.load(std::memory_order_relaxed)) / 1e9);
+        static_cast<unsigned long long>(sim_ns_.load(std::memory_order_relaxed)));
   }
 
  private:

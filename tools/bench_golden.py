@@ -3,7 +3,7 @@
 
 Runs one bench binary, passes its output through, and requires the
 PLATINUM_BENCH_METRICS line it prints (bench/bench_util.h: RunMetrics) to carry
-exactly the `machines`, `references` and `sim_seconds` committed for it in
+exactly the `machines`, `references` and `sim_ns` committed for it in
 tests/golden/bench_smoke.json. Each bench_smoke_<name> ctest runs its binary
 through this script, with the smoke-size environment of bench/CMakeLists.txt.
 
@@ -23,7 +23,7 @@ import sys
 
 from bench_report import BENCHES, METRICS_RE, SMALL_ENV
 
-KEYS = ("machines", "references", "sim_seconds")
+KEYS = ("machines", "references", "sim_ns")
 
 
 def run_metrics(binary, env):
