@@ -49,6 +49,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
     std::optional<PhysicalCopy> copy = AllocateFrame(page, node);
     PLAT_CHECK(copy.has_value()) << "out of physical memory pinning cpage " << page.id();
     PLAT_CHECK_EQ(copy->module, node) << "target module full";
+    // Zero a recycled frame, as InitialFill does; no simulated charge.
     std::memset(machine_->module(copy->module).FrameData(copy->frame), 0,
                 machine_->params().page_size_bytes);
     page.AddCopy(*copy);

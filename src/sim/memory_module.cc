@@ -1,8 +1,19 @@
 #include "src/sim/memory_module.h"
 
+#include <sys/mman.h>
+
 #include "src/base/check.h"
 
 namespace platinum::sim {
+
+void MemoryModule::Unmapper::operator()(uint8_t* region) const { munmap(region, bytes); }
+
+std::unique_ptr<uint8_t, MemoryModule::Unmapper> MemoryModule::MapFrames(int node, size_t bytes) {
+  void* region = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  PLAT_CHECK(region != MAP_FAILED) << "mmap of " << bytes << " bytes of frame storage for node "
+                                   << node << " failed";
+  return {static_cast<uint8_t*>(region), Unmapper{bytes}};
+}
 
 MemoryModule::MemoryModule(int node, const MachineParams& params)
     : node_(node),
@@ -10,7 +21,7 @@ MemoryModule::MemoryModule(int node, const MachineParams& params)
       page_size_(params.page_size_bytes),
       slot_state_(num_frames_, SlotState::kFree),
       slot_cpage_(num_frames_, kInvalidCpage),
-      data_(static_cast<size_t>(num_frames_) * page_size_, 0),
+      data_(MapFrames(node, static_cast<size_t>(num_frames_) * page_size_)),
       free_frames_(num_frames_) {}
 
 uint32_t MemoryModule::Hash(uint32_t cpage_index) const {
